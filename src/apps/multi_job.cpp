@@ -133,13 +133,7 @@ Task<> job_body(Cloud* cloud, const MultiJobRun* run, std::size_t job_index,
   if (cloud->blob_store() != nullptr) {
     // Full admission wait: commit gate plus the fair manager queues. A
     // fresh per-job tenant has no pre-job usage to subtract.
-    const blob::BlobStore::TenantUsage u =
-        cloud->blob_store()->tenant_usage_snapshot(out->tenant);
-    out->raw_bytes = u.raw_bytes;
-    out->shipped_bytes = u.shipped_bytes;
-    out->commit_wait = u.commit_wait;
-    out->provider_wait = u.provider_wait;
-    out->prefetch_wait = u.prefetch_wait;
+    out->usage = cloud->blob_store()->tenant_usage_snapshot(out->tenant);
   }
 }
 

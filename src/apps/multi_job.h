@@ -77,11 +77,7 @@ struct JobResult {
   std::vector<sim::Duration> restart_times;
   bool verified = true;
   /// Per-tenant repository accounting (see BlobStore::TenantUsage).
-  std::uint64_t raw_bytes = 0;
-  std::uint64_t shipped_bytes = 0;
-  sim::Duration commit_wait = 0;
-  sim::Duration provider_wait = 0;
-  sim::Duration prefetch_wait = 0;
+  blob::BlobStore::TenantUsage usage;
   std::uint64_t gc_reclaimed_bytes = 0;
   /// The job's own catalog lineage as its session lists it.
   std::vector<cr::CheckpointRecord> records;

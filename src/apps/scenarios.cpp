@@ -23,30 +23,15 @@ using sim::Task;
 
 namespace {
 
-/// Usage baseline, captured after provisioning (the base-image upload runs
-/// as the default tenant and must not leak into a default-tenant job's
-/// numbers). Zero-valued on the PVFS baselines.
+/// The tenant's repository usage so far; zero-valued on the PVFS baselines.
+/// Drivers capture it after provisioning (the base-image upload runs as the
+/// default tenant and must not leak into a default-tenant job's numbers)
+/// and subtract that baseline at job end.
 blob::BlobStore::TenantUsage capture_usage(Cloud& cloud,
                                            net::TenantId tenant) {
   return cloud.blob_store() != nullptr
              ? cloud.blob_store()->tenant_usage_snapshot(tenant)
              : blob::BlobStore::TenantUsage{};
-}
-
-/// Copies the deployment tenant's repository usage since `base` into the
-/// result (BlobCR backend; the PVFS baselines have no shared repository
-/// accounting).
-void fill_tenant_counters(Cloud& cloud, Deployment& dep,
-                          const blob::BlobStore::TenantUsage& base,
-                          RunResult* result) {
-  if (cloud.blob_store() == nullptr) return;
-  const blob::BlobStore::TenantUsage u =
-      cloud.blob_store()->tenant_usage_snapshot(dep.tenant());
-  result->tenant_raw_bytes = u.raw_bytes - base.raw_bytes;
-  result->tenant_shipped_bytes = u.shipped_bytes - base.shipped_bytes;
-  result->tenant_commit_wait = u.commit_wait - base.commit_wait;
-  result->tenant_provider_wait = u.provider_wait - base.provider_wait;
-  result->tenant_prefetch_wait = u.prefetch_wait - base.prefetch_wait;
 }
 
 }  // namespace
@@ -213,16 +198,14 @@ Task<> synthetic_driver(Cloud* cloud, SyntheticRun run, CkptMode mode,
     result->restart_time = sim.now() - t0;
     // The restarted mirrors are fresh objects, so their counters cover
     // exactly the restart's lazy-fetch traffic.
-    result->restart_repo_bytes = dep.boot_repo_bytes();
-    result->restart_peer_bytes = dep.boot_peer_bytes();
-    result->restart_parity_bytes = dep.boot_parity_bytes();
+    result->restart_traffic = dep.restart_traffic();
     if (run.real_data) {
       for (const bool ok : shared->restore_ok) {
         result->verified = result->verified && ok;
       }
     }
   }
-  fill_tenant_counters(*cloud, dep, usage_base, result);
+  result->usage = capture_usage(*cloud, dep.tenant()) - usage_base;
 }
 
 }  // namespace
@@ -342,9 +325,7 @@ Task<> elastic_driver(Cloud* cloud, ElasticRun run, ElasticResult* result) {
     }
   }
   result->restart_time = sim.now() - t0;
-  result->restart_repo_bytes = dep.boot_repo_bytes();
-  result->restart_peer_bytes = dep.boot_peer_bytes();
-  result->restart_parity_bytes = dep.boot_parity_bytes();
+  result->restart_traffic = dep.restart_traffic();
   for (const bool ok : shared->restore_ok) {
     result->verified = result->verified && ok;
   }
@@ -531,16 +512,14 @@ Task<> cm1_driver(Cloud* cloud, Cm1Run run, CkptMode mode,
       co_await dep.vm(i).join_guests();
     }
     result->restart_time = sim.now() - t0;
-    result->restart_repo_bytes = dep.boot_repo_bytes();
-    result->restart_peer_bytes = dep.boot_peer_bytes();
-    result->restart_parity_bytes = dep.boot_parity_bytes();
+    result->restart_traffic = dep.restart_traffic();
     if (run.app.real_data) {
       for (const bool ok : shared->restore_ok) {
         result->verified = result->verified && ok;
       }
     }
   }
-  fill_tenant_counters(*cloud, dep, usage_base, result);
+  result->usage = capture_usage(*cloud, dep.tenant()) - usage_base;
 }
 
 }  // namespace

@@ -152,6 +152,21 @@ class BlobStore {
     /// charge each restored copy to the chunk's owning tenant).
     std::uint64_t repair_copies = 0;
     std::uint64_t repair_bytes = 0;
+
+    /// Usage accrued since `base`: drivers diff a snapshot taken after
+    /// provisioning, so per-job counters cover exactly that job.
+    TenantUsage operator-(const TenantUsage& base) const {
+      TenantUsage d;
+      d.commits = commits - base.commits;
+      d.raw_bytes = raw_bytes - base.raw_bytes;
+      d.shipped_bytes = shipped_bytes - base.shipped_bytes;
+      d.commit_wait = commit_wait - base.commit_wait;
+      d.provider_wait = provider_wait - base.provider_wait;
+      d.prefetch_wait = prefetch_wait - base.prefetch_wait;
+      d.repair_copies = repair_copies - base.repair_copies;
+      d.repair_bytes = repair_bytes - base.repair_bytes;
+      return d;
+    }
   };
   const TenantUsage& tenant_usage(net::TenantId t) const {
     static const TenantUsage kEmpty;

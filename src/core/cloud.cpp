@@ -30,17 +30,6 @@ const char* backend_name(Backend b) {
 // --- Cloud -------------------------------------------------------------------
 
 Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
-  // Deprecated-alias resolution: a non-default CloudConfig::
-  // restart_prefetch_budget forwards into the admission plane's config,
-  // but only when qos.restart_prefetch_budget itself was left at its
-  // default (the new knob wins when both are set).
-  {
-    constexpr std::uint64_t kDefaultBudget = 64 * common::kMB;
-    if (cfg_.restart_prefetch_budget != kDefaultBudget &&
-        cfg_.qos.restart_prefetch_budget == kDefaultBudget) {
-      cfg_.qos.restart_prefetch_budget = cfg_.restart_prefetch_budget;
-    }
-  }
   // Incoherent QoS setups fail here for every backend (the BlobCR stores
   // validate again when their admission planes construct).
   cfg_.qos.validate();
@@ -406,39 +395,96 @@ Deployment::~Deployment() {
   destroy_all();
 }
 
+std::unique_ptr<MirrorDevice> Deployment::make_mirror(
+    net::NodeId node, blob::BlobId blob, blob::VersionId version,
+    const flush::FlushConfig& flush) {
+  Cloud& cloud = *cloud_;
+  MirrorDevice::Config mcfg;
+  mcfg.capacity = cloud.image_size();
+  mcfg.flush = flush;
+  mcfg.tenant = tenant_;
+  mcfg.redundancy = cloud.redundancy();
+  mcfg.federation = cloud.federation();
+  blob::BlobStore* store = cloud.store_of_blob(blob);
+  if (store == nullptr) store = cloud.blob_store();
+  return std::make_unique<MirrorDevice>(
+      *store, node, cloud.disk(node), cloud.next_disk_stream(node), blob,
+      version, mcfg, cloud.config().adaptive_prefetch ? bus_.get() : nullptr,
+      reducer_for_store(store), cloud.chunk_cache(node));
+}
+
+sim::Task<> Deployment::open_qcow_chain(DeviceFamily& dev, net::NodeId node,
+                                        const InstanceSnapshot* snap) {
+  Cloud& cloud = *cloud_;
+  dev.qcow_backing = co_await pfs::PvfsFileStore::open(
+      *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
+  if (snap == nullptr) {
+    // qemu-img create -b <base-on-pvfs> <local qcow2>.
+    dev.qcow_container = std::make_unique<storage::LocalFile>(
+        cloud.disk(node), cloud.next_disk_stream(node));
+  } else {
+    // The snapshot file is opened straight through the PVFS mount.
+    dev.qcow_container = co_await pfs::PvfsFileStore::open(
+        *cloud.pvfs(), node, snap->pvfs_path, false);
+  }
+  img::QcowImage::Config qcfg;
+  qcfg.cluster_size = cloud.config().qcow_cluster_size;
+  qcfg.virtual_size = cloud.image_size();
+  dev.qcow = std::make_unique<img::QcowImage>(*dev.qcow_container,
+                                              dev.qcow_backing.get(), qcfg);
+  if (snap != nullptr) co_await dev.qcow->open_existing(snap->qcow_state);
+  dev.qcow_dev = std::make_unique<img::QcowDevice>(*dev.qcow);
+}
+
+sim::Task<> Deployment::open_snapshot_device(DeviceFamily& dev,
+                                             net::NodeId node,
+                                             InstanceSnapshot& snap,
+                                             const flush::FlushConfig& flush) {
+  Cloud& cloud = *cloud_;
+  if (cloud.config().backend != Backend::BlobCR) {
+    co_await open_qcow_chain(dev, node, &snap);
+    co_return;
+  }
+  // Federated restart: if the snapshot's home zone died, resolve the tuple
+  // to a survivor-zone adoption of the replicated manifest before the
+  // mirror binds a store. Callers keep the *resolved* tuple so later
+  // restarts and retention act on the adopted lineage.
+  if (snap.image != 0 && snap.version != 0 &&
+      cloud.federation() != nullptr && cloud.federation()->enabled()) {
+    const auto resolved = co_await cloud.federation()->resolve_restart(
+        snap.image, snap.version, node, tenant_);
+    snap.image = resolved.first;
+    snap.version = resolved.second;
+  }
+  dev.mirror = make_mirror(node, snap.image, snap.version, flush);
+}
+
+void Deployment::make_proxies(Instance& inst) {
+  Cloud& cloud = *cloud_;
+  const sim::Duration auth = cloud.config().proxy_auth_cost;
+  if (cloud.config().backend == Backend::BlobCR) {
+    inst.proxy = std::make_unique<CheckpointProxy>(
+        cloud.simulation(), cloud.fabric(), inst.node, auth);
+  } else {
+    inst.qdisk_proxy = std::make_unique<QcowDiskProxy>(
+        cloud.simulation(), cloud.fabric(), inst.node, auth);
+    inst.qfull_proxy = std::make_unique<QcowFullProxy>(
+        cloud.simulation(), cloud.fabric(), inst.node, auth);
+  }
+}
+
 void Deployment::build_instance_fresh(std::size_t i, net::NodeId node) {
   auto inst = std::make_unique<Instance>();
   inst->index = i;
   inst->node = node;
-  Cloud& cloud = *cloud_;
-  const CloudConfig& cfg = cloud.config();
-
-  if (cfg.backend == Backend::BlobCR) {
-    MirrorDevice::Config mcfg;
-    mcfg.capacity = cloud.image_size();
-    mcfg.flush = flush_cfg_;
-    mcfg.tenant = tenant_;
-    mcfg.redundancy = cloud.redundancy();
-    mcfg.federation = cloud.federation();
+  if (cloud_->config().backend == Backend::BlobCR) {
     // Placement affinity: a fresh instance clones its own zone's base image
     // so its commits land in the zone-local repository.
-    const std::uint32_t zone = cloud.zone_of_node(node);
-    blob::BlobStore* store = cloud.blob_store(zone);
-    if (store == nullptr) store = cloud.blob_store();
-    inst->mirror = std::make_unique<MirrorDevice>(
-        *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-        cloud.base_blob(zone), 1, mcfg,
-        cfg.adaptive_prefetch ? bus_.get() : nullptr, reducer_for_store(store),
-        cloud.chunk_cache(node));
-    inst->proxy = std::make_unique<CheckpointProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
-  } else {
-    // The qcow chain is opened inside boot_instance (needs a coroutine).
-    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
-    inst->qfull_proxy = std::make_unique<QcowFullProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+    inst->mirror = make_mirror(
+        node, cloud_->base_blob(cloud_->zone_of_node(node)), 1, flush_cfg_);
   }
+  // The qcow chain is opened inside boot_instance (needs a coroutine).
+  make_proxies(*inst);
   instances_.push_back(std::move(inst));
 }
 
@@ -446,22 +492,9 @@ sim::Task<> Deployment::boot_instance(std::size_t i) {
   Instance& inst = *instances_.at(i);
   Cloud& cloud = *cloud_;
   const CloudConfig& cfg = cloud.config();
-
   if (cfg.backend != Backend::BlobCR && !inst.qcow) {
-    // qemu-img create -b <base-on-pvfs> <local qcow2>.
-    auto backing = co_await pfs::PvfsFileStore::open(
-        *cloud.pvfs(), inst.node, cloud.base_pvfs_path(), false);
-    inst.qcow_backing = std::move(backing);
-    inst.qcow_container = std::make_unique<storage::LocalFile>(
-        cloud.disk(inst.node), cloud.next_disk_stream(inst.node));
-    img::QcowImage::Config qcfg;
-    qcfg.cluster_size = cfg.qcow_cluster_size;
-    qcfg.virtual_size = cloud.image_size();
-    inst.qcow = std::make_unique<img::QcowImage>(
-        *inst.qcow_container, inst.qcow_backing.get(), qcfg);
-    inst.qcow_dev = std::make_unique<img::QcowDevice>(*inst.qcow);
+    co_await open_qcow_chain(inst, inst.node, nullptr);
   }
-
   vm::VmConfig vmc = cfg.vm;
   vmc.name = common::strf("vm%zu", inst.index);
   inst.vm = std::make_unique<vm::VmInstance>(cloud.simulation(), inst.node,
@@ -620,82 +653,35 @@ sim::Task<> Deployment::wait_drained(std::size_t i) {
   if (inst.mirror) co_await inst.mirror->wait_drained();
 }
 
-sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
-                                                     net::NodeId node,
-                                                     InstanceSnapshot snap,
-                                                     bool adopt_image) {
+sim::Task<> Deployment::build_instance(std::size_t i, net::NodeId node,
+                                       const InstancePlan& plan) {
   if (restart_probe_) restart_probe_(i);
   auto inst = std::make_unique<Instance>();
   inst->index = i;
   inst->node = node;
-  inst->last_snapshot = snap;
-  inst->snapshot_counter = 0;
+  inst->last_snapshot = plan.boot;
   Cloud& cloud = *cloud_;
   const CloudConfig& cfg = cloud.config();
 
-  if (cfg.backend == Backend::BlobCR) {
-    // Federated restart: if the snapshot's home zone died, resolve the
-    // tuple to a survivor-zone adoption of the replicated manifest before
-    // the mirror binds a store. The instance records the *resolved* tuple
-    // so later restarts and retention act on the adopted lineage.
-    if (snap.image != 0 && snap.version != 0 &&
-        cloud.federation() != nullptr && cloud.federation()->enabled()) {
-      const auto resolved = co_await cloud.federation()->resolve_restart(
-          snap.image, snap.version, node, tenant_);
-      snap.image = resolved.first;
-      snap.version = resolved.second;
-      inst->last_snapshot.image = snap.image;
-      inst->last_snapshot.version = snap.version;
-    }
-    MirrorDevice::Config mcfg;
-    mcfg.capacity = cloud.image_size();
-    mcfg.flush = flush_cfg_;
-    mcfg.tenant = tenant_;
-    mcfg.redundancy = cloud.redundancy();
-    mcfg.federation = cloud.federation();
-    blob::BlobStore* store = cloud.store_of_blob(snap.image);
-    if (store == nullptr) store = cloud.blob_store();
-    inst->mirror = std::make_unique<MirrorDevice>(
-        *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-        snap.image, snap.version, mcfg,
-        cfg.adaptive_prefetch ? bus_.get() : nullptr, reducer_for_store(store),
-        cloud.chunk_cache(node));
-    // Subsequent checkpoints land in the same checkpoint image — except for
-    // an elastic clone (M > N), which shares its source tuple with another
-    // instance and must derive a fresh image on its first commit instead.
-    if (adopt_image) inst->mirror->set_checkpoint_blob(snap.image, snap.version);
-    inst->proxy = std::make_unique<CheckpointProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
-  } else {
-    // The snapshot file is opened straight through the PVFS mount.
-    auto backing = co_await pfs::PvfsFileStore::open(
-        *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
-    inst->qcow_backing = std::move(backing);
-    auto container = co_await pfs::PvfsFileStore::open(
-        *cloud.pvfs(), node, snap.pvfs_path, false);
-    inst->qcow_container = std::move(container);
-    img::QcowImage::Config qcfg;
-    qcfg.cluster_size = cfg.qcow_cluster_size;
-    qcfg.virtual_size = cloud.image_size();
-    inst->qcow = std::make_unique<img::QcowImage>(
-        *inst->qcow_container, inst->qcow_backing.get(), qcfg);
-    co_await inst->qcow->open_existing(snap.qcow_state);
-    inst->qcow_dev = std::make_unique<img::QcowDevice>(*inst->qcow);
-    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
-    inst->qfull_proxy = std::make_unique<QcowFullProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+  co_await open_snapshot_device(*inst, node, inst->last_snapshot, flush_cfg_);
+  // Subsequent checkpoints land in the same checkpoint image — except for
+  // an elastic clone (M > N), which shares its source tuple with another
+  // instance and must derive a fresh image on its first commit instead.
+  if (inst->mirror && !plan.fresh_image) {
+    inst->mirror->set_checkpoint_blob(inst->last_snapshot.image,
+                                      inst->last_snapshot.version);
   }
+  make_proxies(*inst);
 
   vm::VmConfig vmc = cfg.vm;
   vmc.name = common::strf("vm%zu-r", i);
   inst->vm = std::make_unique<vm::VmInstance>(cloud.simulation(), node,
                                               inst->device(), vmc);
   instances_[i] = std::move(inst);
+  Instance& ref = *instances_[i];
 
   if (cfg.backend == Backend::Qcow2Full) {
     // Resume from the full snapshot: load the VM state, no reboot.
-    Instance& ref = *instances_[i];
     (void)co_await ref.qcow->load_vm_state();
     co_await cloud.simulation().delay(500 * sim::kMillisecond);  // resume cpu
     // The resumed guest's file system, re-mounted from the virtual disk.
@@ -703,7 +689,19 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
     // snapshot, so unsynced dirty pages do not survive a full-VM resume.)
     ref.vm->adopt_fs(co_await guestfs::SimpleFs::mount(ref.device()));
   } else {
-    co_await vm::GuestOs::boot(*instances_[i]->vm, cfg.os);
+    co_await vm::GuestOs::boot(*ref.vm, cfg.os);
+  }
+
+  // Extra shards (elastic M < N) come up as attached data volumes on the
+  // same node, served by the same restart data plane as the boot device.
+  // Nothing commits through a data volume: no async drain, but the parity
+  // tier still protects chunks its fetches seed into the cache.
+  for (const InstanceSnapshot& src : plan.attached) {
+    auto vol = std::make_unique<AttachedVolume>();
+    vol->source = src;
+    co_await open_snapshot_device(*vol, node, vol->source,
+                                  flush::FlushConfig{});
+    ref.attached.push_back(std::move(vol));
   }
 }
 
@@ -744,159 +742,48 @@ void Deployment::spawn_restart_scheduler() {
   }
 }
 
-sim::Task<> Deployment::restart_from(const GlobalCheckpoint& ckpt,
-                                     std::size_t node_offset) {
-  prepare_restart(ckpt.snapshots.size(), node_offset);
-  std::vector<sim::Task<>> boots;
-  boots.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    boots.push_back(build_instance_from_snapshot(
-        i, cloud_->compute_node(node_offset + i), ckpt.snapshots[i]));
-  }
-  co_await sim::when_all(cloud_->simulation(), std::move(boots));
-  spawn_restart_scheduler();
-}
-
 sim::Task<> Deployment::restart_from(const RestartPlan& plan,
                                      std::size_t node_offset) {
   prepare_restart(plan.instances.size(), node_offset);
   std::vector<sim::Task<>> boots;
   boots.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i) {
-    boots.push_back(build_instance_from_plan(
-        i, cloud_->compute_node(node_offset + i), plan.instances[i]));
+    boots.push_back(build_instance(i, cloud_->compute_node(node_offset + i),
+                                   plan.instances[i]));
   }
   co_await sim::when_all(cloud_->simulation(), std::move(boots));
   spawn_restart_scheduler();
 }
 
-sim::Task<> Deployment::build_instance_from_plan(std::size_t i,
-                                                 net::NodeId node,
-                                                 const InstancePlan& plan) {
-  co_await build_instance_from_snapshot(i, node, plan.boot,
-                                        /*adopt_image=*/!plan.fresh_image);
-  // Extra shards (elastic M < N) come up as attached data volumes on the
-  // same node, served by the same restart data plane as the boot device.
-  Instance& inst = *instances_.at(i);
-  Cloud& cloud = *cloud_;
-  const CloudConfig& cfg = cloud.config();
-  for (const InstanceSnapshot& src : plan.attached) {
-    auto vol = std::make_unique<AttachedVolume>();
-    vol->source = src;
-    if (cfg.backend == Backend::BlobCR) {
-      InstanceSnapshot resolved = src;
-      if (resolved.image != 0 && resolved.version != 0 &&
-          cloud.federation() != nullptr && cloud.federation()->enabled()) {
-        const auto r = co_await cloud.federation()->resolve_restart(
-            resolved.image, resolved.version, node, tenant_);
-        resolved.image = r.first;
-        resolved.version = r.second;
-        vol->source = resolved;
-      }
-      MirrorDevice::Config acfg;
-      acfg.capacity = cloud.image_size();
-      // Nothing commits through a data volume: no async drain, but the
-      // parity tier still protects chunks its fetches seed into the cache.
-      acfg.flush = flush::FlushConfig{};
-      acfg.tenant = tenant_;
-      acfg.redundancy = cloud.redundancy();
-      acfg.federation = cloud.federation();
-      blob::BlobStore* store = cloud.store_of_blob(resolved.image);
-      if (store == nullptr) store = cloud.blob_store();
-      vol->mirror = std::make_unique<MirrorDevice>(
-          *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-          resolved.image, resolved.version, acfg,
-          cfg.adaptive_prefetch ? bus_.get() : nullptr,
-          reducer_for_store(store), cloud.chunk_cache(node));
-    } else {
-      auto backing = co_await pfs::PvfsFileStore::open(
-          *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
-      vol->qcow_backing = std::move(backing);
-      auto container = co_await pfs::PvfsFileStore::open(
-          *cloud.pvfs(), node, src.pvfs_path, false);
-      vol->qcow_container = std::move(container);
-      img::QcowImage::Config qcfg;
-      qcfg.cluster_size = cfg.qcow_cluster_size;
-      qcfg.virtual_size = cloud.image_size();
-      vol->qcow = std::make_unique<img::QcowImage>(
-          *vol->qcow_container, vol->qcow_backing.get(), qcfg);
-      co_await vol->qcow->open_existing(src.qcow_state);
-      vol->qcow_dev = std::make_unique<img::QcowDevice>(*vol->qcow);
-    }
-    inst.attached.push_back(std::move(vol));
-  }
-}
-
 sim::Task<sim::Duration> Deployment::migrate_instance(std::size_t i,
                                                       net::NodeId target) {
   const sim::Time t0 = cloud_->simulation().now();
-  const InstanceSnapshot snap = co_await snapshot_instance(i);
+  InstancePlan plan;
+  plan.boot = co_await snapshot_instance(i);
   instances_.at(i)->vm->destroy();
   // Fresh namespace: the rebuilt instance's snapshot counter restarts at 0,
   // and its files must not overwrite the pre-migration checkpoint files.
   seq_ = cloud_->next_deployment_seq();
-  co_await build_instance_from_snapshot(i, target, snap);
+  co_await build_instance(i, target, plan);
   co_return cloud_->simulation().now() - t0;
 }
 
-std::uint64_t Deployment::boot_remote_bytes() const {
-  std::uint64_t total = 0;
+RestartTraffic Deployment::restart_traffic() const {
+  RestartTraffic t;
+  const auto add = [&t](const MirrorDevice* m) {
+    if (m == nullptr) return;
+    t.remote_bytes += m->remote_bytes_fetched();
+    t.repo_bytes += m->repo_bytes_fetched();
+    t.peer_bytes += m->peer_bytes_fetched();
+    t.parity_bytes += m->parity_bytes_rebuilt();
+    t.wan_bytes += m->wan_bytes_fetched();
+  };
   for (const auto& inst : instances_) {
     if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->remote_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->remote_bytes_fetched();
-    }
+    add(inst->mirror.get());
+    for (const auto& vol : inst->attached) add(vol->mirror.get());
   }
-  return total;
-}
-
-std::uint64_t Deployment::boot_repo_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->repo_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->repo_bytes_fetched();
-    }
-  }
-  return total;
-}
-
-std::uint64_t Deployment::boot_peer_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->peer_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->peer_bytes_fetched();
-    }
-  }
-  return total;
-}
-
-std::uint64_t Deployment::boot_parity_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->parity_bytes_rebuilt();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->parity_bytes_rebuilt();
-    }
-  }
-  return total;
-}
-
-std::uint64_t Deployment::boot_wan_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->wan_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->wan_bytes_fetched();
-    }
-  }
-  return total;
+  return t;
 }
 
 sim::Task<std::optional<Deployment::PeerPayload>>

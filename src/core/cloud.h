@@ -107,10 +107,6 @@ struct CloudConfig {
   /// Per-compute-node decoded-chunk cache (shared by all mirroring modules
   /// on the node; backs the peer exchange). 0 disables.
   std::uint64_t chunk_cache_bytes = 512 * common::kMB;
-  /// Deprecated alias: forwards into qos.restart_prefetch_budget (the
-  /// admission plane owns all QoS knobs now). A non-default value here
-  /// wins only when the qos field was left at its default.
-  std::uint64_t restart_prefetch_budget = 64 * common::kMB;
   sim::Duration proxy_auth_cost = 500 * sim::kMicrosecond;
 
   vm::GuestOsConfig os = vm::GuestOsConfig::debian_like();
@@ -142,9 +138,10 @@ struct GlobalCheckpoint {
   }
 };
 
-/// One new instance's share of an elastic (N -> M) restart: the snapshot it
-/// boots from, plus any extra source tuples it adopts as attached data
-/// volumes (M < N shards). Built by cr::build_restart_plan (src/cr/remap.h).
+/// One new instance's share of a restart (1:1 or elastic N -> M): the
+/// snapshot it boots from, plus any extra source tuples it adopts as
+/// attached data volumes (M < N shards). Built by cr::build_restart_plan
+/// (src/cr/remap.h).
 struct InstancePlan {
   InstanceSnapshot boot;
   /// M > N clones: the instance lazy-fetches the source snapshot but must
@@ -154,10 +151,35 @@ struct InstancePlan {
   std::vector<InstanceSnapshot> attached;
 };
 
-/// The instance-level payload of a rescaling restart: one InstancePlan per
-/// new instance, replacing the classic path's implied 1:1 tuple mapping.
+/// The instance-level payload of every restart: one InstancePlan per new
+/// instance (M == N is the paper's 1:1 redeploy; see cr/remap.h).
 struct RestartPlan {
   std::vector<InstancePlan> instances;
+};
+
+/// The restart data plane's transfer classes, summed over a deployment's
+/// mirroring modules (boot devices and attached volumes; BlobCR backend).
+struct RestartTraffic {
+  /// Lazy-fetch traffic: repository logical bytes + peer copies + parity
+  /// rebuilds (zero holes and node-cache hits cost no transfer).
+  std::uint64_t remote_bytes = 0;
+  /// Repository wire bytes vs intra-deployment peer-copy bytes vs bytes
+  /// rebuilt from peer parity groups (the redundancy tier).
+  std::uint64_t repo_bytes = 0;
+  std::uint64_t peer_bytes = 0;
+  std::uint64_t parity_bytes = 0;
+  /// Bytes pulled from outside each reader's own zone (subset of the
+  /// repository bytes; 0 without federation).
+  std::uint64_t wan_bytes = 0;
+
+  RestartTraffic& operator+=(const RestartTraffic& o) {
+    remote_bytes += o.remote_bytes;
+    repo_bytes += o.repo_bytes;
+    peer_bytes += o.peer_bytes;
+    parity_bytes += o.parity_bytes;
+    wan_bytes += o.wan_bytes;
+    return *this;
+  }
 };
 
 class Deployment;
@@ -328,15 +350,9 @@ class Deployment {
     std::optional<flush::FlushConfig> flush;
   };
 
-  /// An extra source snapshot an instance adopted across an elastic shrink
-  /// (M < N): a full device image of one pre-rescale instance, attached as
-  /// a data volume next to the boot disk. Read-only in spirit — nothing
-  /// commits through it — but served by the same content-addressed restart
-  /// data plane (lazy fetch, peer copies, scheduled prefetch) as the boot
-  /// device.
-  struct AttachedVolume {
-    InstanceSnapshot source;
-    // Exactly one device family is populated, by backend.
+  /// One virtual disk's device stack. Exactly one family is populated, by
+  /// backend: a mirroring module (BlobCR) or a qcow2 chain over PVFS.
+  struct DeviceFamily {
     std::unique_ptr<MirrorDevice> mirror;
     std::unique_ptr<pfs::PvfsFileStore> qcow_backing;
     std::unique_ptr<storage::ByteStore> qcow_container;
@@ -349,16 +365,20 @@ class Deployment {
     }
   };
 
-  struct Instance {
+  /// An extra source snapshot an instance adopted across an elastic shrink
+  /// (M < N): a full device image of one pre-rescale instance, attached as
+  /// a data volume next to the boot disk. Read-only in spirit — nothing
+  /// commits through it — but served by the same content-addressed restart
+  /// data plane (lazy fetch, peer copies, scheduled prefetch) as the boot
+  /// device.
+  struct AttachedVolume : DeviceFamily {
+    InstanceSnapshot source;
+  };
+
+  struct Instance : DeviceFamily {
     std::size_t index = 0;
     net::NodeId node = 0;
     bool failed = false;
-    // Exactly one device family is populated, by backend.
-    std::unique_ptr<MirrorDevice> mirror;
-    std::unique_ptr<pfs::PvfsFileStore> qcow_backing;
-    std::unique_ptr<storage::ByteStore> qcow_container;
-    std::unique_ptr<img::QcowImage> qcow;
-    std::unique_ptr<img::QcowDevice> qcow_dev;
     std::unique_ptr<vm::VmInstance> vm;
     std::unique_ptr<CheckpointProxy> proxy;
     std::unique_ptr<QcowDiskProxy> qdisk_proxy;
@@ -367,11 +387,6 @@ class Deployment {
     InstanceSnapshot last_snapshot;
     /// Extra pre-rescale shards adopted by this instance (elastic M < N).
     std::vector<std::unique_ptr<AttachedVolume>> attached;
-
-    img::BlockDevice& device() {
-      if (mirror) return *mirror;
-      return *qcow_dev;
-    }
   };
 
   Deployment(Cloud& cloud, std::size_t instances,
@@ -450,21 +465,14 @@ class Deployment {
   /// Fail-stop of one instance's node.
   void fail_instance(std::size_t i);
 
-  /// Tears down whatever is left and re-deploys every instance from its
-  /// snapshot in `ckpt`, shifted to fresh nodes, booting in parallel.
-  /// For BlobCR/qcow2-disk instances this reboots the guest OS; qcow2-full
-  /// resumes from the full VM snapshot without a reboot. `ckpt` must stay
-  /// alive until the task completes (each instance copies only its own
-  /// snapshot; the checkpoint is no longer deep-copied per rollback).
-  sim::Task<> restart_from(const GlobalCheckpoint& ckpt,
-                           std::size_t node_offset);
-
-  /// Elastic restart: rebuilds the deployment from a per-instance plan
-  /// (possibly a different instance count than before — see cr/remap.h for
-  /// the shard assignment). Each instance boots from its plan's boot
-  /// snapshot; extra shards come up as attached data volumes; fresh_image
-  /// instances derive a new checkpoint image on their first commit. The
-  /// plan must stay alive until the task completes.
+  /// Tears down whatever is left and rebuilds the deployment from a
+  /// per-instance plan (cr::build_restart_plan), shifted to fresh nodes,
+  /// booting in parallel. Each instance boots from its plan's boot snapshot
+  /// (BlobCR/qcow2-disk reboot the guest OS; qcow2-full resumes from the
+  /// full VM snapshot without a reboot); extra shards of an elastic shrink
+  /// come up as attached data volumes; fresh_image instances derive a new
+  /// checkpoint image on their first commit. The plan must stay alive until
+  /// the task completes.
   sim::Task<> restart_from(const RestartPlan& plan, std::size_t node_offset);
 
   /// Test scaffolding (crash-harness style, like flush's stage probes):
@@ -484,16 +492,8 @@ class Deployment {
   /// (snapshot + teardown + redeploy + boot/resume).
   sim::Task<sim::Duration> migrate_instance(std::size_t i, net::NodeId target);
 
-  std::uint64_t boot_remote_bytes() const;  // lazy-fetch traffic observed
-  /// Repository wire bytes vs intra-deployment peer-copy bytes vs parity-
-  /// rebuilt bytes behind boot_remote_bytes() (the restart data plane's
-  /// transfer classes).
-  std::uint64_t boot_repo_bytes() const;
-  std::uint64_t boot_peer_bytes() const;
-  std::uint64_t boot_parity_bytes() const;
-  /// Bytes the restart data plane pulled from outside each reader's own
-  /// zone (subset of boot_repo_bytes; 0 without federation).
-  std::uint64_t boot_wan_bytes() const;
+  /// Lazy-fetch traffic observed by the current mirroring modules.
+  RestartTraffic restart_traffic() const;
 
   /// Scavenge support (cr::Session::scavenge): best-effort recovery of one
   /// chunk's decoded payload from the peer tier — a surviving node's cache
@@ -519,12 +519,28 @@ class Deployment {
   /// attached to the bus (boot devices AND attached volumes).
   void spawn_restart_scheduler();
   void build_instance_fresh(std::size_t i, net::NodeId node);
-  sim::Task<> build_instance_from_snapshot(std::size_t i, net::NodeId node,
-                                           InstanceSnapshot snap,
-                                           bool adopt_image = true);
-  sim::Task<> build_instance_from_plan(std::size_t i, net::NodeId node,
-                                       const InstancePlan& plan);
   sim::Task<> boot_instance(std::size_t i);
+  /// Rebuilds instance i on `node` from its plan: boot device, proxies, VM
+  /// boot (or qcow2-full resume), then the attached volumes.
+  sim::Task<> build_instance(std::size_t i, net::NodeId node,
+                             const InstancePlan& plan);
+  /// A mirroring module on `node` over (blob, version), bound to the store
+  /// that owns the blob.
+  std::unique_ptr<MirrorDevice> make_mirror(net::NodeId node,
+                                            blob::BlobId blob,
+                                            blob::VersionId version,
+                                            const flush::FlushConfig& flush);
+  /// Opens the device family for snapshot `snap` on `node`. BlobCR first
+  /// resolves a tuple whose home zone died to its survivor-zone adoption
+  /// (rewriting snap's image/version), then mirrors it.
+  sim::Task<> open_snapshot_device(DeviceFamily& dev, net::NodeId node,
+                                   InstanceSnapshot& snap,
+                                   const flush::FlushConfig& flush);
+  /// qemu-img's chain: the base image on PVFS as backing, over a fresh
+  /// local container (`snap` == nullptr) or the snapshot's PVFS copy.
+  sim::Task<> open_qcow_chain(DeviceFamily& dev, net::NodeId node,
+                              const InstanceSnapshot* snap);
+  void make_proxies(Instance& inst);
   /// The reducer matching a mirror's store: commits through a zone-z store
   /// must reduce through the zone-z reducer, whose index lookups prefer —
   /// and whose GC pins register in — that same zone.

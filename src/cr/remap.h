@@ -9,8 +9,8 @@
 // per-instance snapshot tuples are assigned to M fresh instances as
 // contiguous shards.
 //
-//   M == N  every instance gets exactly its own tuple — bit-identical to
-//           the classic restart path;
+//   M == N  every instance gets exactly its own tuple — the paper's
+//           restart (§3.2), redeploying each instance from its snapshot;
 //   M <  N  instance i boots from tuple i*N/M and adopts the rest of its
 //           shard [i*N/M, (i+1)*N/M) as attached data volumes, so the
 //           union of device images across the deployment is unchanged;

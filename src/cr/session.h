@@ -104,7 +104,7 @@ class Session {
     /// survivors keep serving peer copies.
     bool cold_caches = false;
     /// Elastic restart: target instance count M. 0 (or the record's own
-    /// tuple count) restarts 1:1 like today; any other value remaps the N
+    /// tuple count) restarts 1:1; any other value remaps the N
     /// recorded tuples onto M fresh instances through the content-addressed
     /// plane (see cr/remap.h — contiguous shards, attached volumes for
     /// M < N, fresh checkpoint images for M > N clones). Rescaling a

@@ -15,7 +15,6 @@ namespace blobcr::ft {
 
 using core::Cloud;
 using core::Deployment;
-using core::GlobalCheckpoint;
 using sim::Task;
 
 const char* dump_mode_name(DumpMode mode) {
@@ -222,6 +221,34 @@ Task<> restore_worker(Deployment* dep, EpochParams p,
   if (p.real_data) st->restore_ok[p.rank] = ok;
 }
 
+/// Restores every rank of a freshly restarted deployment (width st->n) from
+/// the checkpointed state, then adds the restart's lazy-fetch traffic to
+/// the report. `verify` false skips the digest checks for this wave.
+Task<> restore_wave(Deployment& dep, const FtJobConfig& cfg,
+                    std::shared_ptr<JobShared> st, const char* name,
+                    bool verify, FtReport* report) {
+  const std::size_t n = st->n;
+  dep.mpi().reset_for_restart();
+  dep.mpi().resize_world(static_cast<int>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    EpochParams p;
+    p.rank = i;
+    p.epoch = st->epoch;
+    p.state_bytes = cfg.state_bytes;
+    p.real_data = cfg.real_data && verify;
+    p.mode = cfg.mode;
+    Deployment* dp = &dep;
+    dep.vm(i).start_guest(common::strf("%s-r%zu", name, i),
+                          [dp, p, st](vm::GuestProcess& gp) -> Task<> {
+                            co_await restore_worker(dp, p, st, &gp);
+                          });
+  }
+  for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
+  // Fresh mirrors per restart: the counters cover this restart's lazy-fetch
+  // traffic (sampled before the next epoch adds copy-ups).
+  report->restart_traffic += dep.restart_traffic();
+}
+
 /// Replays the failure schedule against the live deployment. Events landing
 /// outside an active epoch (during detection/rollback) are deferred to the
 /// next epoch start.
@@ -272,9 +299,6 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   // repository-resident catalog, not in this driver's memory.
   cr::Session::Config scfg;
   scfg.retention = cfg->retention;
-  if (scfg.retention.keep_last == 0 && cfg->gc_keep_last > 0) {
-    scfg.retention.keep_last = static_cast<std::size_t>(cfg->gc_keep_last);
-  }
   scfg.job = cfg->job;
   auto session = std::make_unique<cr::Session>(*holder->dep, scfg);
 
@@ -381,28 +405,8 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
           st->resize_unverified(dep.size());
           n = dep.size();
         }
-        dep.mpi().reset_for_restart();
-        dep.mpi().resize_world(static_cast<int>(n));
-        for (std::size_t i = 0; i < n; ++i) {
-          EpochParams p;
-          p.rank = i;
-          p.epoch = st->epoch;
-          p.state_bytes = cfg->state_bytes;
-          p.real_data = cfg->real_data && width_kept;
-          p.mode = cfg->mode;
-          Deployment* dp = &dep;
-          dep.vm(i).start_guest(
-              common::strf("ft-restore-r%zu", i),
-              [dp, p, st](vm::GuestProcess& gp) -> Task<> {
-                co_await restore_worker(dp, p, st, &gp);
-              });
-        }
-        for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
-        // Fresh mirrors per rollback: the counters cover this restart's
-        // lazy-fetch traffic (sampled before the next epoch adds copy-ups).
-        report->restart_repo_bytes += dep.boot_repo_bytes();
-        report->restart_peer_bytes += dep.boot_peer_bytes();
-        report->parity_bytes_rebuilt += dep.boot_parity_bytes();
+        co_await restore_wave(dep, *cfg, st, "ft-restore", width_kept,
+                              report);
       } else {
         // Failure during the initial checkpoint: no rollback target exists,
         // so resubmit from scratch — a fresh deployment from the base image.
@@ -414,13 +418,18 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
         session->attach(*holder->dep);
       }
       // Heal the repository: re-replicate what the dead node's provider
-      // held, so the next failure is just as survivable as this one was.
-      if (cfg->repair_after_restart && cloud->blob_store() != nullptr) {
-        blob::RepairService repair(*cloud->blob_store());
-        const blob::RepairService::Report r =
-            co_await repair.repair(cloud->config().replication);
-        report->repair_copies += r.copies_made;
-        report->repair_bytes += r.bytes_copied;
+      // held, in whichever zone's store it sat, so the next failure is just
+      // as survivable as this one was.
+      if (cfg->repair_after_restart) {
+        for (std::uint32_t z = 0; z < cloud->zones(); ++z) {
+          blob::BlobStore* store = cloud->blob_store(z);
+          if (store == nullptr) continue;
+          blob::RepairService repair(*store);
+          const blob::RepairService::Report r =
+              co_await repair.repair(cloud->config().replication);
+          report->repair_copies += r.copies_made;
+          report->repair_bytes += r.bytes_copied;
+        }
       }
       report->restart_overhead += sim.now() - t0 + cfg->detect_latency;
       if (rec.success) ++st->epoch;  // the failure hit after the commit
@@ -445,28 +454,9 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
         ropts.node_offset = shift;
         ropts.instances = m;
         (void)co_await session->restart(cr::Selector::latest(), ropts);
-        dep.mpi().reset_for_restart();
-        dep.mpi().resize_world(static_cast<int>(m));
         st->rescale(m);
         n = m;
-        for (std::size_t i = 0; i < n; ++i) {
-          EpochParams p;
-          p.rank = i;
-          p.epoch = st->epoch;
-          p.state_bytes = cfg->state_bytes;
-          p.real_data = cfg->real_data;
-          p.mode = cfg->mode;
-          Deployment* dp = &dep;
-          dep.vm(i).start_guest(
-              common::strf("ft-rescale-r%zu", i),
-              [dp, p, st](vm::GuestProcess& gp) -> Task<> {
-                co_await restore_worker(dp, p, st, &gp);
-              });
-        }
-        for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
-        report->restart_repo_bytes += dep.boot_repo_bytes();
-        report->restart_peer_bytes += dep.boot_peer_bytes();
-        report->parity_bytes_rebuilt += dep.boot_parity_bytes();
+        co_await restore_wave(dep, *cfg, st, "ft-rescale", true, report);
         ++report->rescales;
         report->rescale_overhead += sim.now() - t0;
         force_ckpt = true;
@@ -481,16 +471,8 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   report->useful_work = completed;
   report->gc_reclaimed_bytes = session->gc_reclaimed_bytes();
   if (cloud->blob_store() != nullptr) {
-    const blob::BlobStore::TenantUsage usage =
-        cloud->blob_store()->tenant_usage_snapshot(cfg->tenant);
-    report->tenant_raw_bytes = usage.raw_bytes - usage_base.raw_bytes;
-    report->tenant_shipped_bytes =
-        usage.shipped_bytes - usage_base.shipped_bytes;
-    report->tenant_commit_wait = usage.commit_wait - usage_base.commit_wait;
-    report->tenant_provider_wait =
-        usage.provider_wait - usage_base.provider_wait;
-    report->tenant_prefetch_wait =
-        usage.prefetch_wait - usage_base.prefetch_wait;
+    report->usage =
+        cloud->blob_store()->tenant_usage_snapshot(cfg->tenant) - usage_base;
   }
   report->ckpt_blocked = st->ckpt_blocked;
   report->completed = !gave_up && completed >= cfg->total_work;

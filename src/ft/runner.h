@@ -69,9 +69,6 @@ struct FtJobConfig {
   /// collector. keep_last == 0 disables. The runner only ever rolls back
   /// to the latest complete checkpoint, so keeping 1 is always safe.
   cr::RetentionPolicy retention;
-  /// Deprecated alias for retention.keep_last (> 0 wins only when the
-  /// policy above was left at its default).
-  int gc_keep_last = 0;
   /// Repository tenant this job runs as (multi-tenant clouds; see
   /// Cloud::register_tenant). Namespaces the job's checkpoint catalog and
   /// tags its commits for QoS admission and per-tenant accounting.
@@ -113,12 +110,9 @@ struct FtReport {
   /// to the local staging cost while the drain overlaps other ranks.
   sim::Duration ckpt_blocked = 0;
   sim::Duration restart_overhead = 0;    // detection + redeploy + restore
-  /// Restart lazy-fetch transfer split, summed over all rollbacks
-  /// (BlobCR): repository wire bytes vs intra-deployment peer-copy bytes
-  /// vs bytes reconstructed from peer parity groups (redundancy tier).
-  std::uint64_t restart_repo_bytes = 0;
-  std::uint64_t restart_peer_bytes = 0;
-  std::uint64_t parity_bytes_rebuilt = 0;
+  /// Restart lazy-fetch transfer split, summed over all rollbacks and
+  /// rescales (BlobCR).
+  core::RestartTraffic restart_traffic;
   std::size_t checkpoints = 0;   // committed global checkpoints
   std::size_t failures = 0;      // injected failures that hit the job
   std::size_t restarts = 0;      // rollbacks performed
@@ -130,16 +124,8 @@ struct FtReport {
   std::uint64_t gc_reclaimed_bytes = 0;
   /// Per-tenant repository accounting for this job (BlobCR backend),
   /// measured from a post-provisioning baseline so it covers exactly this
-  /// job's commits: raw commit payload vs post-reduction bytes shipped, and
-  /// the time this tenant's requests sat queued at the shared admission
-  /// points (commit gate + fair manager queues).
-  std::uint64_t tenant_raw_bytes = 0;
-  std::uint64_t tenant_shipped_bytes = 0;
-  sim::Duration tenant_commit_wait = 0;
-  /// Queueing at the admission plane's provider-io / restart-prefetch
-  /// gates, same baseline-diff convention.
-  sim::Duration tenant_provider_wait = 0;
-  sim::Duration tenant_prefetch_wait = 0;
+  /// job's commits and admission waits.
+  blob::BlobStore::TenantUsage usage;
   std::vector<EpochRecord> epochs;
 
   /// Useful-work fraction of the makespan, in (0, 1].

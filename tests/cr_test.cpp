@@ -474,7 +474,7 @@ TEST(CrElasticTest, GrowRestartClonesDeriveFreshImagesWarmCaches) {
   EXPECT_EQ(post_parent, pre_id);
 }
 
-TEST(CrElasticTest, EqualCountDegeneratesToClassicRestart) {
+TEST(CrElasticTest, EqualCountRestartsOneToOne) {
   Cloud cloud(tiny_cfg(Backend::BlobCR));
   bool ok = false;
 
@@ -490,7 +490,7 @@ TEST(CrElasticTest, EqualCountDegeneratesToClassicRestart) {
     Session::RestartOptions opts;
     opts.node_offset = 2;
     opts.cold_caches = true;
-    opts.instances = 2;  // M == N: today's 1:1 path
+    opts.instances = 2;  // M == N: the 1:1 restart plan
     (void)co_await session.restart(Selector::latest(), opts);
     EXPECT_EQ(dep.size(), 2u);
     EXPECT_EQ(dep.attached_count(0), 0u);

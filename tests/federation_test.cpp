@@ -153,7 +153,7 @@ TEST(FederationTest, NearestZoneRestartPrefersLocalReplicas) {
       (void)co_await session2.restart(Selector::latest(), /*node_offset=*/4,
                                       /*cold_caches=*/true);
       EXPECT_TRUE(co_await state_matches(&dep2.vm(0), 21));
-      *wan = dep2.boot_wan_bytes();
+      *wan = dep2.restart_traffic().wan_bytes;
     }(&cloud, &wan));
     return wan;
   };

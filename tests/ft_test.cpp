@@ -429,6 +429,41 @@ TEST(FtRunnerTest, RepairKeepsRepeatedFailuresSurvivable) {
   EXPECT_GE(rep.restarts, 2u);
 }
 
+TEST(FtRunnerTest, RepairHealsEveryZoneStore) {
+  // Two zones of three nodes; the job's fourth instance runs on node 3,
+  // the first zone-1 node, and that node fails. Its provider held zone-1
+  // chunks (the instance's own commits and zone 1's base-image copy), so
+  // the post-rollback repair must scrub zone 1's store, not just zone 0's.
+  CloudConfig cfg = tiny_cfg(Backend::BlobCR, /*replication=*/2);
+  cfg.compute_nodes = 6;
+  cfg.federation.zones = 2;
+  cfg.flush.enabled = true;  // federation replicates off the async drain
+  Cloud cloud(cfg);
+  ASSERT_EQ(cloud.zone_of_node(3), 1u);
+  FtJobConfig job = small_job();
+  job.instances = 4;
+  job.repair_after_restart = true;
+  job.failures = FailureSchedule::fixed({{50 * sim::kSecond, 3}});
+  const FtReport rep = run_ft_job(cloud, job);
+  EXPECT_TRUE(rep.completed);
+  EXPECT_TRUE(rep.verified);
+  EXPECT_EQ(rep.restarts, 1u);
+  EXPECT_GT(rep.repair_copies, 0u);
+
+  blob::BlobStore& zone1 = *cloud.blob_store(1);
+  std::size_t chunks = 0;
+  for (const auto& [id, placement] : zone1.provider_manager().placements()) {
+    std::size_t live = 0;
+    for (const net::NodeId node : placement.replicas) {
+      const blob::DataProvider* p = zone1.provider_at(node);
+      if (p != nullptr && p->has(id)) ++live;
+    }
+    EXPECT_GE(live, 2u) << "zone-1 chunk " << id;
+    ++chunks;
+  }
+  EXPECT_GT(chunks, 0u);
+}
+
 TEST(FtRunnerTest, QcowBaselineAlsoRecovers) {
   // The qcow2-disk baseline stores snapshots in PVFS (whose servers do not
   // die in the fail-stop model); recovery must work there too.
@@ -516,7 +551,7 @@ TEST(FtRunnerTest, GcBoundsRepositoryGrowth) {
   const FtReport plain = run_ft_job(plain_cloud, job);
   const std::uint64_t plain_repo = plain_cloud.repository_bytes();
 
-  job.gc_keep_last = 1;
+  job.retention.keep_last = 1;
   Cloud gc_cloud(tiny_cfg(Backend::BlobCR));
   const FtReport gced = run_ft_job(gc_cloud, job);
   const std::uint64_t gc_repo = gc_cloud.repository_bytes();
@@ -533,7 +568,7 @@ TEST(FtRunnerTest, GcKeepsRollbackTargetUsable) {
   // still restore cleanly from what survived collection.
   Cloud cloud(tiny_cfg(Backend::BlobCR));
   FtJobConfig job = small_job();
-  job.gc_keep_last = 1;
+  job.retention.keep_last = 1;
   job.failures = FailureSchedule::fixed({{50 * sim::kSecond, 0}});
   const FtReport rep = run_ft_job(cloud, job);
   EXPECT_TRUE(rep.completed);

@@ -62,26 +62,6 @@ TEST(QosConfigTest, ValidateRejectsFairnessWithEveryGateUnbounded) {
   EXPECT_THROW(Cloud cloud(ccfg), std::invalid_argument);
 }
 
-TEST(QosConfigTest, DeprecatedBudgetAliasForwardsUnlessNewKnobSet) {
-  CloudConfig base;
-  base.compute_nodes = 4;
-  base.backend = Backend::BlobCR;
-  base.os = vm::GuestOsConfig::test_tiny();
-
-  // Old knob alone: forwards into the unified config.
-  CloudConfig old_only = base;
-  old_only.restart_prefetch_budget = 1 * common::kMB;
-  Cloud c1(old_only);
-  EXPECT_EQ(c1.config().qos.restart_prefetch_budget, 1 * common::kMB);
-
-  // Both set: the new knob wins; the alias is ignored.
-  CloudConfig both = base;
-  both.restart_prefetch_budget = 1 * common::kMB;
-  both.qos.restart_prefetch_budget = 2 * common::kMB;
-  Cloud c2(both);
-  EXPECT_EQ(c2.config().qos.restart_prefetch_budget, 2 * common::kMB);
-}
-
 // ---------------------------------------------------------------------------
 // Provider-io gate: weighted fairness where the disk, not the commit gate,
 // is the bottleneck. One provider, one admission slot, a slow disk: a small

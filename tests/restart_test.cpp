@@ -262,12 +262,12 @@ TEST(RestartDataPlaneTest, PerInstanceRepoBytesShrinkWithDeploymentSize) {
 
   ASSERT_TRUE(solo.verified);
   ASSERT_TRUE(trio.verified);
-  ASSERT_GT(solo.restart_repo_bytes, 0u);
+  ASSERT_GT(solo.restart_traffic.repo_bytes, 0u);
   // Peer copies replace repository traffic as the deployment grows.
-  EXPECT_GT(trio.restart_peer_bytes, 0u);
-  const double solo_per_inst = static_cast<double>(solo.restart_repo_bytes);
+  EXPECT_GT(trio.restart_traffic.peer_bytes, 0u);
+  const double solo_per_inst = static_cast<double>(solo.restart_traffic.repo_bytes);
   const double trio_per_inst =
-      static_cast<double>(trio.restart_repo_bytes) / 3.0;
+      static_cast<double>(trio.restart_traffic.repo_bytes) / 3.0;
   EXPECT_LT(trio_per_inst, solo_per_inst);
 }
 
